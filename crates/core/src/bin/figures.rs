@@ -4,6 +4,9 @@
 //! Usage: `figures [--sampled] [quick|standard|full]
 //!                 [4|5|...|16|10dram|attrib|memcurve|ablations|validate-sampled|all]...`
 //!
+//! The effort defaults to `quick` and the figure list to `all`. An
+//! unknown effort or figure name prints the usage and exits 2.
+//!
 //! Several figure names may be given at once (`figures quick 10 attrib`);
 //! they share the one plan and RunLog, so the written
 //! `RUNLOG_figures.jsonl` carries every named run — the form
@@ -28,12 +31,53 @@ use middlesim::{Effort, ExperimentPlan};
 use probes::runlog::{JobSpan, RunMeta};
 use probes::{Provenance, RunLog};
 
-fn effort_from(arg: Option<&str>) -> Effort {
-    match arg {
-        Some("standard") => Effort::Standard,
-        Some("full") => Effort::Full,
-        _ => Effort::Quick,
+const USAGE: &str = "usage: figures [--sampled] [quick|standard|full] \
+                     [4|5|...|16|10dram|attrib|memcurve|ablations|validate-sampled|all]...";
+
+/// Every figure name the command line accepts, space-separated.
+const FIGURES: &str = "4 5 6 7 8 9 10 10dram 11 12 13 14 15 16 \
+                       attrib memcurve ablations validate-sampled all";
+
+/// The parsed command line.
+#[derive(Debug)]
+struct Args {
+    sampled: bool,
+    effort: Effort,
+    figures: Vec<String>,
+}
+
+/// Parses the arguments after the program name. `--sampled` may appear
+/// anywhere; the first other argument may name the effort.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut sampled = false;
+    let mut effort = None;
+    let mut figures = Vec::new();
+    for arg in args {
+        if arg == "--sampled" {
+            sampled = true;
+            continue;
+        }
+        let named = match arg.as_str() {
+            "quick" => Some(Effort::Quick),
+            "standard" => Some(Effort::Standard),
+            "full" => Some(Effort::Full),
+            _ => None,
+        };
+        match named {
+            Some(e) if effort.is_none() && figures.is_empty() => effort = Some(e),
+            _ if FIGURES.split_whitespace().any(|f| f == arg) => figures.push(arg),
+            Some(_) => return Err(format!("effort {arg:?} given after the first argument")),
+            None => return Err(format!("unknown effort or figure {arg:?}")),
+        }
     }
+    if figures.is_empty() {
+        figures.push("all".into());
+    }
+    Ok(Args {
+        sampled,
+        effort: effort.unwrap_or(Effort::Quick),
+        figures,
+    })
 }
 
 fn report(name: &str, table: impl std::fmt::Display, violations: Vec<String>) {
@@ -50,16 +94,15 @@ fn report(name: &str, table: impl std::fmt::Display, violations: Vec<String>) {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().collect();
-    let sampled = args.iter().any(|a| a == "--sampled");
-    args.retain(|a| a != "--sampled");
-    let effort = effort_from(args.get(1).map(|s| s.as_str()));
-    let whichs: Vec<&str> = if args.len() > 2 {
-        args[2..].iter().map(|s| s.as_str()).collect()
-    } else {
-        vec!["all"]
-    };
-    let has = |n: &str| whichs.iter().any(|&w| w == n);
+    let Args {
+        sampled,
+        effort,
+        figures: whichs,
+    } = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("figures: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let has = |n: &str| whichs.iter().any(|w| w == n);
     let all = has("all");
     let ps = processor_axis(effort);
     let log = Arc::new(RunLog::new());
@@ -248,5 +291,47 @@ fn main() {
             log.interval_count(),
             log.event_count()
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn defaults_to_quick_and_every_figure() {
+        let args = parse(&[]).unwrap();
+        assert_eq!(args.effort, Effort::Quick);
+        assert_eq!(args.figures, ["all"]);
+        assert!(!args.sampled);
+    }
+
+    #[test]
+    fn effort_figures_and_sampled_flag_parse() {
+        let args = parse(&["--sampled", "standard", "10", "attrib"]).unwrap();
+        assert!(args.sampled);
+        assert_eq!(args.effort, Effort::Standard);
+        assert_eq!(args.figures, ["10", "attrib"]);
+        let args = parse(&["full", "memcurve", "--sampled"]).unwrap();
+        assert!(args.sampled);
+        assert_eq!(args.effort, Effort::Full);
+        // The effort is optional, as the usage line shows.
+        let args = parse(&["12"]).unwrap();
+        assert_eq!(args.effort, Effort::Quick);
+        assert_eq!(args.figures, ["12"]);
+    }
+
+    #[test]
+    fn unknown_efforts_and_figures_are_errors() {
+        assert!(parse(&["fast"]).is_err());
+        assert!(parse(&["quick", "17"]).is_err());
+        assert!(parse(&["quick", "10", "atrib"]).is_err());
+        assert!(parse(&["quick", "--verbose"]).is_err());
+        assert!(parse(&["10", "quick"]).is_err());
+        assert!(parse(&["quick", "standard"]).is_err());
     }
 }

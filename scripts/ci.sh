@@ -21,6 +21,12 @@ cargo test -q --offline
 echo "==> cargo test --workspace -q (all crates, offline)"
 cargo test --workspace -q --offline
 
+# simbench is its own workspace root, so the workspace run above skips
+# it. Its self-test runs every benchmark workload at quick geometry and
+# holds the "observers do not perturb" and replay-equality oracles.
+echo "==> simbench self-test (offline)"
+cargo test --release --offline --manifest-path simbench/Cargo.toml
+
 echo "==> cargo bench smoke: substrate kernels on the in-workspace harness"
 MIDDLESIM_BENCH_SAMPLES=2 MIDDLESIM_BENCH_SAMPLE_MS=5 \
     cargo bench -q --offline -p bench --bench substrates
