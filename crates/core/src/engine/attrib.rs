@@ -22,7 +22,7 @@
 //!   `survivor`, `old_gen`, `code`, `lock`, `stack`, `kernel`, or
 //!   `other`).
 //!
-//! The profiler is an observer: it reads the [`StallCharge`] the timer
+//! The profiler is an observer: it reads the [`StallCharge`](simcpu::StallCharge) the timer
 //! already computed, so attaching it perturbs nothing — runs with and
 //! without it stay bit-identical in every pre-existing counter and
 //! record. Base ("other") cycles are reconstructed at fold time from

@@ -36,7 +36,6 @@ pub mod bus;
 pub mod cache;
 pub mod config;
 pub mod directory;
-mod filter;
 pub mod linestats;
 mod mem;
 pub mod probe;
@@ -60,7 +59,7 @@ pub use region::{RegionMap, OTHER_REGION};
 pub use sink::{CountingSink, MemSink, RecordingSink, TeeSink};
 pub use stats::{AccessKind, AccessOutcome, HitLevel, KindCounters, SystemStats};
 pub use sweep::{CacheSweep, SweepPoint, PAPER_SIZES};
-pub use system::{BatchRef, LatencyCosts, MemorySystem};
+pub use system::{LatencyCosts, MemorySystem};
 pub use trace::{
     AccessSource, SystemSink, SystemTrace, SystemTraceEvent, Trace, TraceEvent, TraceSink,
 };

@@ -3,31 +3,24 @@
 //! Figure 16 shape) and writes refs/sec to `BENCH_memsys.json`.
 //!
 //! The mix is miss-heavy at line granularity (per-CPU working sets 4x
-//! the L2, plus a small hot shared region) but bursty *within* lines,
-//! like the middleware streams the simulator exists to replay:
+//! the L2, plus a small hot shared region) but bursty *within* lines:
 //! instruction fetch walks each code line in four sequential fetches,
 //! a load touches two or three fields of its object, and a store pair
-//! dirties adjacent words. The repeated-touch runs are exactly what the
-//! per-CPU MRU line filter short-circuits, so the benchmark exercises
-//! both the filter's fast path and (on the burst leaders) the full
-//! hierarchy walk. The stream is a pure function of the seed, so
-//! pre/post-optimization numbers are directly comparable.
+//! dirties adjacent words. Burst followers hit the L1; burst leaders
+//! walk the full hierarchy. This is a synthetic microbenchmark, not a
+//! captured workload stream (the `simbench` package measures those).
+//! The stream is a pure function of the seed, so pre/post-change
+//! numbers are directly comparable.
 //!
-//! Each shape is timed twice on the identical stream: once through
-//! `MemorySystem::new` (MRU filter on) and once through
-//! `MemorySystem::new_unfiltered` — the in-file ablation that separates
-//! the filter's contribution from stream or driver changes. References
-//! are issued in 4096-record batches via [`MemorySystem::access_batch`],
-//! whose lookahead overlaps the simulator's long metadata fetches (L2
-//! set words, sharer-directory slots) *across* accesses; batching and
-//! warming are architecturally invisible, so every statistic matches a
-//! scalar replay bit for bit.
+//! References are generated in 4096-record chunks and each chunk is
+//! timed as a plain loop of [`MemorySystem::access`] calls, so the
+//! generator's RNG cost stays outside the measurement.
 //!
 //! Run with: `cargo run --release --example bench_memsys [quick|standard|full]`
 
 use std::time::Instant;
 
-use memsys::{AccessKind, Addr, BatchRef, HierarchyConfig, MemorySystem};
+use memsys::{AccessKind, Addr, HierarchyConfig, MemorySystem};
 use prng::SimRng;
 
 /// Per-CPU private heap: 4 MB (4x the 1 MB L2 -> miss-heavy).
@@ -37,8 +30,8 @@ const CODE_LINES: u64 = (64 << 10) / 64;
 /// Hot shared region: 64 KB of lines every CPU loads and stores.
 const SHARED_LINES: u64 = (64 << 10) / 64;
 
-/// References issued per `access_batch` call.
-const BATCH: usize = 4096;
+/// References generated per timed chunk.
+const CHUNK: usize = 4096;
 
 /// Generates the seeded reference stream: a pure function of the seed,
 /// identical for every memory-system implementation and every driver
@@ -47,8 +40,7 @@ const BATCH: usize = 4096;
 /// Each RNG draw produces a burst leader plus its within-line followers
 /// (queued in `pending`, drained before the next draw): 4 sequential
 /// ifetches through a code line, 2-3 load touches of an object's
-/// fields, or a 2-store pair. Leaders walk the full hierarchy;
-/// followers are the repeated-touch runs the MRU filter memoizes.
+/// fields, or a 2-store pair.
 struct Stream {
     rng: SimRng,
     cpus: u64,
@@ -114,16 +106,11 @@ impl Stream {
         }
     }
 
-    /// Fills `batch` with up to `budget` references.
-    fn fill(&mut self, batch: &mut Vec<BatchRef>, budget: u64) {
-        batch.clear();
-        for _ in 0..(BATCH as u64).min(budget) {
-            let (cpu, kind, addr) = self.next();
-            batch.push(BatchRef {
-                cpu: cpu as u32,
-                kind,
-                addr,
-            });
+    /// Fills `chunk` with up to `budget` references.
+    fn fill(&mut self, chunk: &mut Vec<(usize, AccessKind, Addr)>, budget: u64) {
+        chunk.clear();
+        for _ in 0..(CHUNK as u64).min(budget) {
+            chunk.push(self.next());
         }
     }
 }
@@ -133,8 +120,6 @@ struct ShapeResult {
     cpus: usize,
     cpus_per_l2: usize,
     refs_per_sec: f64,
-    unfiltered_refs_per_sec: f64,
-    mru_speedup: f64,
     snoop_filter_rate: f64,
 }
 
@@ -142,27 +127,31 @@ struct ShapeResult {
 /// through `sys` and returns the timed throughput.
 fn run_stream(sys: &mut MemorySystem, cpus: usize, refs: u64, seed: u64) -> f64 {
     let mut stream = Stream::new(seed, cpus);
-    let mut batch: Vec<BatchRef> = Vec::with_capacity(BATCH);
+    let mut chunk = Vec::with_capacity(CHUNK);
     let mut left = refs / 4;
     while left > 0 {
-        stream.fill(&mut batch, left);
-        sys.access_batch(&batch, |_, _| None);
-        left -= batch.len() as u64;
+        stream.fill(&mut chunk, left);
+        for &(cpu, kind, addr) in &chunk {
+            sys.access(cpu, kind, addr);
+        }
+        left -= chunk.len() as u64;
     }
     sys.reset_stats();
-    // Time only the `access_batch` calls: the generator's RNG cost is
-    // driver overhead, identical for every implementation, and leaving
-    // it inside the window would dilute real simulator differences. At
-    // 4096 records per batch the timer calls amortize to well under a
+    // Time only the access loops: the generator's RNG cost is driver
+    // overhead, identical for every implementation, and leaving it
+    // inside the window would dilute real simulator differences. At
+    // 4096 records per chunk the timer calls amortize to well under a
     // nanosecond per reference.
     let mut busy = std::time::Duration::ZERO;
     let mut left = refs;
     while left > 0 {
-        stream.fill(&mut batch, left);
+        stream.fill(&mut chunk, left);
         let t0 = Instant::now();
-        sys.access_batch(&batch, |_, _| None);
+        for &(cpu, kind, addr) in &chunk {
+            sys.access(cpu, kind, addr);
+        }
         busy += t0.elapsed();
-        left -= batch.len() as u64;
+        left -= chunk.len() as u64;
     }
     let secs = busy.as_secs_f64();
     assert_eq!(sys.stats().total_accesses(), refs);
@@ -186,36 +175,17 @@ fn bench_shape(cpus: usize, cpus_per_l2: usize, refs: u64, seed: u64) -> ShapeRe
         if pass > 0 {
             sys = MemorySystem::new(cfg);
         }
-        assert!(sys.mru_filter_enabled());
         refs_per_sec = refs_per_sec.max(run_stream(&mut sys, cpus, refs, seed));
     }
     let snoop_filter_rate = sys.bus_stats().snoop_filter_rate();
-    let stats = sys.stats().clone();
-
-    // Ablation: the identical stream through the same system one knob
-    // away (MRU filter off). Statistics must agree exactly — the filter
-    // claims bit-identity, and this doubles as a coarse end-to-end
-    // check of that claim at bench scale.
-    let mut unfiltered_refs_per_sec = 0.0f64;
-    let mut plain = MemorySystem::new_unfiltered(cfg);
-    for pass in 0..PASSES {
-        if pass > 0 {
-            plain = MemorySystem::new_unfiltered(cfg);
-        }
-        unfiltered_refs_per_sec =
-            unfiltered_refs_per_sec.max(run_stream(&mut plain, cpus, refs, seed));
-    }
-    assert_eq!(&stats, plain.stats(), "MRU filter diverged at bench scale");
-
-    let mru_speedup = refs_per_sec / unfiltered_refs_per_sec.max(1e-9);
+    let stats = sys.stats();
     let name = if cpus_per_l2 == 1 {
         format!("{cpus}cpu")
     } else {
         format!("{cpus}cpu_shared{cpus_per_l2}")
     };
     println!(
-        "{name:>16}: {refs_per_sec:>12.0} refs/s  (unfiltered {unfiltered_refs_per_sec:.0}, \
-         {mru_speedup:.2}x, {} L2 misses, {:.1}% snoops filtered)",
+        "{name:>16}: {refs_per_sec:>12.0} refs/s  ({} L2 misses, {:.1}% snoops filtered)",
         stats.total_l2_misses(),
         snoop_filter_rate * 100.0,
     );
@@ -224,8 +194,6 @@ fn bench_shape(cpus: usize, cpus_per_l2: usize, refs: u64, seed: u64) -> ShapeRe
         cpus,
         cpus_per_l2,
         refs_per_sec,
-        unfiltered_refs_per_sec,
-        mru_speedup,
         snoop_filter_rate,
     }
 }
@@ -237,7 +205,7 @@ fn main() {
         "full" => 40_000_000,
         _ => 10_000_000,
     };
-    println!("streaming {refs} seeded references per shape (filtered + unfiltered)...");
+    println!("streaming {refs} seeded references per shape...");
     let shapes = [(1usize, 1usize), (4, 1), (16, 1), (16, 4)];
     let results: Vec<ShapeResult> = shapes
         .iter()
@@ -257,15 +225,12 @@ fn main() {
         json.push_str(&format!(
             concat!(
                 "    {{\"name\": \"{}\", \"cpus\": {}, \"cpus_per_l2\": {}, ",
-                "\"refs_per_sec\": {:.0}, \"unfiltered_refs_per_sec\": {:.0}, ",
-                "\"mru_speedup\": {:.3}, \"snoop_filter_rate\": {:.4}}}{}\n"
+                "\"refs_per_sec\": {:.0}, \"snoop_filter_rate\": {:.4}}}{}\n"
             ),
             r.name,
             r.cpus,
             r.cpus_per_l2,
             r.refs_per_sec,
-            r.unfiltered_refs_per_sec,
-            r.mru_speedup,
             r.snoop_filter_rate,
             if i + 1 < results.len() { "," } else { "" }
         ));

@@ -15,6 +15,10 @@ cargo fmt --all --check
 echo "==> cargo build --release (offline)"
 cargo build --release --offline --workspace
 
+echo "==> cargo doc: no broken intra-doc links (offline)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+    cargo doc --offline --no-deps --workspace
+
 echo "==> cargo test -q (tier-1, offline)"
 cargo test -q --offline
 

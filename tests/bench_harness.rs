@@ -4,7 +4,7 @@
 //! the cargo-bench-equivalent path end to end.
 
 use bench::Harness;
-use java_middleware_memsim::memsys::{AccessKind, Addr, BatchRef, MemorySystem};
+use java_middleware_memsim::memsys::{AccessKind, Addr, MemorySystem};
 
 #[test]
 fn harness_times_the_memsys_hot_path() {
@@ -17,16 +17,17 @@ fn harness_times_the_memsys_hot_path() {
             sys.access(0, AccessKind::Load, Addr(i))
         })
     });
-    let mut batch = MemorySystem::e6000(4).unwrap();
-    let refs: Vec<BatchRef> = (0..256)
-        .map(|j| BatchRef {
-            cpu: (j % 4) as u32,
-            kind: AccessKind::Load,
-            addr: Addr((j * 64) & 0xf_ffff),
+    let mut looped = MemorySystem::e6000(4).unwrap();
+    h.bench_function("memsys/access_loop_256", |b| {
+        b.iter(|| {
+            for j in 0..256u64 {
+                looped.access(
+                    (j % 4) as usize,
+                    AccessKind::Load,
+                    Addr((j * 64) & 0xf_ffff),
+                );
+            }
         })
-        .collect();
-    h.bench_function("memsys/access_batch_256", |b| {
-        b.iter(|| batch.access_batch(&refs, |_, _| None))
     });
 
     let rows = h.finish();
@@ -34,7 +35,7 @@ fn harness_times_the_memsys_hot_path() {
     assert!(rows.iter().all(|r| r.median_ns > 0.0 && r.iters >= 1));
     // The simulator did real work under the timer.
     assert!(sys.stats().load.accesses > 0);
-    assert!(batch.stats().load.accesses >= 256);
+    assert!(looped.stats().load.accesses >= 256);
 }
 
 #[test]

@@ -10,10 +10,18 @@
 //! invalidations churn constantly, and must agree on every per-access
 //! outcome, every final statistic, and the coherence state of every
 //! touched line. Protocol invariants (single writer, L1 inclusion) and a
-//! ground-truth directory audit run along the way.
+//! ground-truth directory audit run along the way. Every reference is
+//! stamped with the same advancing requester clock on both systems, so a
+//! banked-DRAM shape holds the clocked backend to the same exactness:
+//! latency histograms and DRAM row/queue counters must match too.
+//!
+//! The same seeded stream, captured as a [`SystemTrace`] with a window
+//! boundary in the middle, also pins [`SystemTrace::replay_into`] to the
+//! hand-written `access`/`reset_stats` loop it stands for.
 
 use java_middleware_memsim::memsys::{
-    AccessKind, Addr, CacheConfig, Directory, HierarchyConfig, LineState, MemorySystem,
+    AccessKind, AccessSource, Addr, CacheConfig, Directory, DramConfig, HierarchyConfig,
+    LatencyCosts, LineState, MemoryConfig, MemorySystem, SystemTrace,
 };
 use prng::SimRng;
 
@@ -27,6 +35,14 @@ fn tiny(cpus: usize, cpus_per_l2: usize) -> HierarchyConfig {
     b.cpus_per_l2(cpus_per_l2);
     b.build().unwrap()
 }
+
+const COSTS: LatencyCosts = LatencyCosts {
+    l1: 1,
+    l2: 10,
+    upgrade: 20,
+    c2c: 105,
+    memory: 75,
+};
 
 /// One seeded reference: 35% ifetch, 40% load, 25% store, drawn from a
 /// shared region (heavy cross-L2 contention), a per-cpu private region
@@ -85,7 +101,11 @@ fn check_inclusion(sys: &MemorySystem, addr: Addr) {
 }
 
 fn drive_shape(cpus: usize, cpus_per_l2: usize, steps: u64, seed: u64) {
-    let cfg = tiny(cpus, cpus_per_l2);
+    drive(tiny(cpus, cpus_per_l2), steps, seed);
+}
+
+fn drive(cfg: HierarchyConfig, steps: u64, seed: u64) {
+    let cpus = cfg.cpus;
     let mut filtered = MemorySystem::new(cfg);
     let mut broadcast = MemorySystem::new_broadcast(cfg);
     assert_eq!(
@@ -93,12 +113,21 @@ fn drive_shape(cpus: usize, cpus_per_l2: usize, steps: u64, seed: u64) {
         cfg.l2_count() > 1 && cfg.l2_count() <= Directory::MAX_GROUPS
     );
     assert!(!broadcast.snoop_filter_enabled());
+    filtered.enable_latency_hist(COSTS);
+    broadcast.enable_latency_hist(COSTS);
 
     let mut rng = SimRng::seed_from_u64(seed);
+    // A separate stream for the clock keeps the reference stream of
+    // every shape independent of whether its backend reads the clock.
+    let mut clock = SimRng::seed_from_u64(!seed);
+    let mut now = 0u64;
     let mut touched = std::collections::BTreeSet::new();
     for step in 0..steps {
         let (cpu, kind, addr) = next_ref(&mut rng, cpus);
         touched.insert(addr.0);
+        now += clock.next_u64() % 40 + 1;
+        filtered.set_now(now);
+        broadcast.set_now(now);
         let a = filtered.access(cpu, kind, addr);
         let b = broadcast.access(cpu, kind, addr);
         assert_eq!(
@@ -118,6 +147,16 @@ fn drive_shape(cpus: usize, cpus_per_l2: usize, steps: u64, seed: u64) {
     // point — so compare the protocol fields individually and check the
     // diagnostic totals cover the same transactions.
     assert_eq!(filtered.stats(), broadcast.stats(), "SystemStats diverged");
+    assert_eq!(
+        filtered.latency_hist(),
+        broadcast.latency_hist(),
+        "latency histograms diverged"
+    );
+    assert_eq!(
+        filtered.dram_stats(),
+        broadcast.dram_stats(),
+        "DRAM row/queue counters diverged"
+    );
     let (fb, bb) = (filtered.bus_stats(), broadcast.bus_stats());
     assert_eq!(fb.gets, bb.gets);
     assert_eq!(fb.getx, bb.getx);
@@ -226,6 +265,57 @@ fn filtered_matches_broadcast_4_cpus_one_shared_l2() {
     // Degenerate topology: a single L2 group, nothing to snoop, filter
     // disabled — the fast path must still match broadcast exactly.
     drive_shape(4, 4, 20_000, 0xD44);
+}
+
+#[test]
+fn filtered_matches_broadcast_4_cpus_banked_dram() {
+    // Clock-dependent memory timing: the directory must not perturb the
+    // order or stamps of the DRAM requests either.
+    let mut cfg = tiny(4, 1);
+    cfg.memory = MemoryConfig::BankedDram(DramConfig::default());
+    assert!(MemorySystem::new(cfg).needs_clock());
+    drive(cfg, 30_000, 0xD3A);
+}
+
+/// Replaying a captured stream is the scalar loop: `replay_into` across
+/// a window boundary leaves exactly the statistics, bus counters and
+/// latency histogram of `access` per reference plus `reset_stats` at the
+/// marker. The capture's on-disk bytes survive a write/read/write loop.
+#[test]
+fn replay_into_matches_the_scalar_loop_across_a_window_reset() {
+    let cfg = tiny(4, 1);
+    let mut rng = SimRng::seed_from_u64(0x7C);
+    let mut trace = SystemTrace::new();
+    let mut scalar = MemorySystem::new(cfg);
+    scalar.enable_latency_hist(COSTS);
+    for i in 0..20_000u64 {
+        let (cpu, kind, addr) = next_ref(&mut rng, 4);
+        trace.record_ref(cpu, AccessSource::Workload, kind, addr);
+        scalar.access(cpu, kind, addr);
+        if i == 9_999 {
+            trace.record_window_reset();
+            scalar.reset_stats();
+        }
+    }
+
+    let mut replayed = MemorySystem::new(cfg);
+    replayed.enable_latency_hist(COSTS);
+    trace.replay_into(&mut replayed);
+    assert_eq!(replayed.stats(), scalar.stats());
+    assert_eq!(
+        replayed.stats().total_accesses(),
+        10_000,
+        "window reset lost"
+    );
+    assert_eq!(replayed.bus_stats(), scalar.bus_stats());
+    assert_eq!(replayed.latency_hist(), scalar.latency_hist());
+
+    let mut bytes = Vec::new();
+    trace.write_to(&mut bytes).unwrap();
+    let back = SystemTrace::read_from(&bytes[..]).unwrap();
+    let mut bytes2 = Vec::new();
+    back.write_to(&mut bytes2).unwrap();
+    assert_eq!(bytes, bytes2);
 }
 
 /// The filter-rate invariant through the counter registry: on every
