@@ -277,45 +277,99 @@ fn filtered_matches_broadcast_4_cpus_banked_dram() {
     drive(cfg, 30_000, 0xD3A);
 }
 
-/// Replaying a captured stream is the scalar loop: `replay_into` across
-/// a window boundary leaves exactly the statistics, bus counters and
-/// latency histogram of `access` per reference plus `reset_stats` at the
-/// marker. The capture's on-disk bytes survive a write/read/write loop.
-#[test]
-fn replay_into_matches_the_scalar_loop_across_a_window_reset() {
-    let cfg = tiny(4, 1);
-    let mut rng = SimRng::seed_from_u64(0x7C);
+/// Captures a seeded stream of `steps` references on `cfg` as a
+/// [`SystemTrace`], with a window boundary after reference `reset_after`
+/// if given, while running the same stream through the hand-written
+/// scalar loop (`access` per reference, `reset_stats` at the marker) on
+/// a system with a latency histogram. Returns the trace and that system.
+fn capture_with_scalar(
+    cfg: HierarchyConfig,
+    steps: u64,
+    reset_after: Option<u64>,
+    seed: u64,
+) -> (SystemTrace, MemorySystem) {
+    let mut rng = SimRng::seed_from_u64(seed);
     let mut trace = SystemTrace::new();
     let mut scalar = MemorySystem::new(cfg);
     scalar.enable_latency_hist(COSTS);
-    for i in 0..20_000u64 {
-        let (cpu, kind, addr) = next_ref(&mut rng, 4);
+    for i in 0..steps {
+        let (cpu, kind, addr) = next_ref(&mut rng, cfg.cpus);
         trace.record_ref(cpu, AccessSource::Workload, kind, addr);
         scalar.access(cpu, kind, addr);
-        if i == 9_999 {
+        if Some(i) == reset_after {
             trace.record_window_reset();
             scalar.reset_stats();
         }
     }
+    (trace, scalar)
+}
 
-    let mut replayed = MemorySystem::new(cfg);
-    replayed.enable_latency_hist(COSTS);
-    trace.replay_into(&mut replayed);
-    assert_eq!(replayed.stats(), scalar.stats());
+/// `trace` replayed into a fresh system with a latency histogram.
+fn replayed(cfg: HierarchyConfig, trace: &SystemTrace) -> MemorySystem {
+    let mut sys = MemorySystem::new(cfg);
+    sys.enable_latency_hist(COSTS);
+    trace.replay_into(&mut sys);
+    sys
+}
+
+fn assert_same_system(a: &MemorySystem, b: &MemorySystem, what: &str) {
+    assert_eq!(a.stats(), b.stats(), "{what}: SystemStats diverged");
+    assert_eq!(a.bus_stats(), b.bus_stats(), "{what}: BusStats diverged");
+    assert_eq!(
+        a.latency_hist(),
+        b.latency_hist(),
+        "{what}: latency histograms diverged"
+    );
+}
+
+/// Replaying a captured stream is the scalar loop: `replay_into` across
+/// a window boundary leaves exactly the statistics, bus counters and
+/// latency histogram of `access` per reference plus `reset_stats` at the
+/// marker.
+#[test]
+fn replay_into_matches_the_scalar_loop_across_a_window_reset() {
+    let cfg = tiny(4, 1);
+    let (trace, scalar) = capture_with_scalar(cfg, 20_000, Some(9_999), 0x7C);
+    let replayed = replayed(cfg, &trace);
+    assert_same_system(&replayed, &scalar, "4x1 across a window reset");
     assert_eq!(
         replayed.stats().total_accesses(),
         10_000,
         "window reset lost"
     );
-    assert_eq!(replayed.bus_stats(), scalar.bus_stats());
-    assert_eq!(replayed.latency_hist(), scalar.latency_hist());
+}
 
+/// The same contract without a window boundary, across the flat-backend
+/// shapes from a uniprocessor to four-way shared L2s.
+#[test]
+fn replay_into_matches_the_scalar_loop_on_flat_shapes() {
+    for (cpus, per, seed) in [(1usize, 1usize, 0xB1u64), (4, 1, 0xB4), (16, 4, 0xB164)] {
+        let cfg = tiny(cpus, per);
+        let (trace, scalar) = capture_with_scalar(cfg, 25_000, None, seed);
+        let replayed = replayed(cfg, &trace);
+        assert_same_system(&replayed, &scalar, &format!("{cpus}x{per}"));
+        assert_eq!(replayed.stats().total_accesses(), 25_000);
+    }
+}
+
+/// A capture with a window boundary survives its on-disk bytes: a
+/// write/read/write loop reproduces the bytes, and the reloaded trace
+/// replays to exactly the original's statistics.
+#[test]
+fn trace_replay_and_recapture_bytes_are_identical() {
+    let cfg = tiny(4, 1);
+    let (trace, _) = capture_with_scalar(cfg, 20_000, Some(9_999), 0x7C);
     let mut bytes = Vec::new();
     trace.write_to(&mut bytes).unwrap();
     let back = SystemTrace::read_from(&bytes[..]).unwrap();
     let mut bytes2 = Vec::new();
     back.write_to(&mut bytes2).unwrap();
     assert_eq!(bytes, bytes2);
+    assert_same_system(
+        &replayed(cfg, &back),
+        &replayed(cfg, &trace),
+        "reloaded trace",
+    );
 }
 
 /// The filter-rate invariant through the counter registry: on every
