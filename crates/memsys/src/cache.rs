@@ -65,6 +65,20 @@ fn word_tag(word: u64) -> u64 {
     word >> STATE_BITS
 }
 
+/// Rotates `ways` right by one: the last element moves to the front.
+///
+/// An explicit carry loop rather than `copy_within`: sets hold a handful
+/// of ways, and the compiler lowers `copy_within` (and the equivalent
+/// index-shifting loop) to a call to the C library's `memmove`, whose
+/// call and size dispatch cost more than moving one to three words.
+#[inline]
+fn rotate_to_front(ways: &mut [u64]) {
+    let mut carry = ways[ways.len() - 1];
+    for w in ways.iter_mut() {
+        carry = std::mem::replace(w, carry);
+    }
+}
+
 /// A set-associative, true-LRU cache of coherence states.
 #[derive(Debug, Clone)]
 pub struct Cache {
@@ -183,18 +197,16 @@ impl Cache {
         Some(st)
     }
 
+    /// Moves way `way` of the set at `base` to MRU, shifting the ways
+    /// above it down by one (and their presence masks with them).
     #[inline]
     fn promote(&mut self, base: usize, way: usize) {
         if way == 0 {
             return;
         }
-        let word = self.meta[base + way];
-        self.meta.copy_within(base..base + way, base + 1);
-        self.meta[base] = word;
+        rotate_to_front(&mut self.meta[base..=base + way]);
         if let Some(p) = &mut self.presence {
-            let pv = p[base + way];
-            p.copy_within(base..base + way, base + 1);
-            p[base] = pv;
+            rotate_to_front(&mut p[base..=base + way]);
         }
     }
 
@@ -250,9 +262,10 @@ impl Cache {
 
     /// Hints the CPU to pull `set`'s way words toward L1 — the L2 arrays
     /// of a many-processor system overflow the host's caches, and this
-    /// fetch is the longest dependent load on the access path. Issued at
-    /// access entry so it overlaps the (small, cache-resident) L1 probe.
-    /// A hint only; no architectural effect.
+    /// fetch is the longest dependent load on the access path. The
+    /// memory system issues it once a reference is known to reach the
+    /// L2, ahead of the directory prefetch and the L2 probe. A hint
+    /// only; no architectural effect.
     #[inline]
     pub fn prefetch_set(&self, set: usize) {
         // Discarded volatile load, not a prefetch instruction: prefetches
@@ -611,5 +624,121 @@ mod tests {
         c.insert(Addr(0), LineState::Modified);
         c.clear();
         assert_eq!(c.resident_lines(), 0);
+    }
+
+    /// Reference model of one set: its valid lines as
+    /// `(tag, state, presence)`, most recently used first. Invalid ways
+    /// are simply absent, so a fill evicts only when `ways` lines are
+    /// valid, and then the least recently used one.
+    type ModelSet = Vec<(u64, LineState, u64)>;
+
+    /// Drives `Cache` and the reference model with the same seeded mix of
+    /// touches, fills, invalidations, state updates and presence ORs,
+    /// comparing every return value and, periodically, every line's
+    /// state and presence mask. Guards the hand-written LRU rotation.
+    fn lru_matches_model(ways: u32, presence: bool, seed: u64) {
+        const SETS: u64 = 2;
+        let cfg = CacheConfig::new(SETS * u64::from(ways) * 64, ways, 64).unwrap();
+        let mut c = if presence {
+            Cache::with_presence(cfg)
+        } else {
+            Cache::new(cfg)
+        };
+        let ways = ways as usize;
+        let tags = 3 * ways as u64; // enough distinct lines to evict
+        let addr = |set: u64, tag: u64| Addr((tag * SETS + set) * 64);
+        let mut model: Vec<ModelSet> = vec![Vec::new(); SETS as usize];
+        let states = [
+            LineState::Shared,
+            LineState::Exclusive,
+            LineState::Owned,
+            LineState::Modified,
+        ];
+        let mut rng = prng::SimRng::seed_from_u64(seed);
+        for step in 0..20_000 {
+            let r = rng.next_u64();
+            let set = r % SETS;
+            let tag = (r >> 8) % tags;
+            let a = addr(set, tag);
+            let (cs, ct) = c.locate(a);
+            assert_eq!((cs, ct), (set as usize, tag));
+            let m = &mut model[set as usize];
+            let pos = m.iter().position(|e| e.0 == tag);
+            match (r >> 16) % 5 {
+                0 | 1 => {
+                    // Touch; on a hit (or else a fill) OR in a presence bit.
+                    let got = c.touch_at(cs, ct);
+                    assert_eq!(got, pos.map(|p| m[p].1), "touch, step {step}");
+                    let bit = 1u64 << ((r >> 24) % 8);
+                    match pos {
+                        Some(p) => {
+                            let e = m.remove(p);
+                            m.insert(0, e);
+                        }
+                        None => {
+                            let st = states[(r >> 32) as usize % 4];
+                            let want = (m.len() == ways).then(|| {
+                                let (vt, vs, vp) = m.pop().unwrap();
+                                Evicted {
+                                    line: addr(set, vt).line(),
+                                    state: vs,
+                                    presence: if presence { vp } else { u64::MAX },
+                                }
+                            });
+                            assert_eq!(c.insert_at(cs, ct, st), want, "fill, step {step}");
+                            m.insert(0, (tag, st, 0));
+                        }
+                    }
+                    c.or_presence_mru(cs, ct, bit);
+                    m[0].2 |= bit;
+                }
+                2 => {
+                    let want = pos.map(|p| {
+                        let (_, st, pv) = m.remove(p);
+                        (st, if presence { pv } else { u64::MAX })
+                    });
+                    assert_eq!(c.invalidate_at(cs, ct), want, "invalidate, step {step}");
+                }
+                3 => {
+                    let got = c.update_at(cs, ct, LineState::after_remote_read);
+                    assert_eq!(got, pos.map(|p| m[p].1), "update, step {step}");
+                    if let Some(p) = pos {
+                        m[p].1 = m[p].1.after_remote_read();
+                    }
+                }
+                _ => {
+                    let st = states[(r >> 32) as usize % 4];
+                    let got = c.set_state_at(cs, ct, st);
+                    assert_eq!(got, pos.map(|p| m[p].1), "set_state, step {step}");
+                    if let Some(p) = pos {
+                        m[p].1 = st;
+                    }
+                }
+            }
+            if step % 64 == 0 {
+                for set in 0..SETS {
+                    let m = &model[set as usize];
+                    for tag in 0..tags {
+                        let e = m.iter().find(|e| e.0 == tag);
+                        let a = addr(set, tag);
+                        assert_eq!(c.probe(a), e.map(|e| e.1), "state, step {step}");
+                        if presence {
+                            assert_eq!(c.presence_of(a), e.map(|e| e.2), "mask, step {step}");
+                        }
+                    }
+                }
+                let valid: usize = model.iter().map(Vec::len).sum();
+                assert_eq!(c.resident_lines(), valid);
+            }
+        }
+    }
+
+    #[test]
+    fn lru_matches_reference_model_at_every_associativity() {
+        for ways in [1, 2, 4, 8, 16] {
+            for presence in [false, true] {
+                lru_matches_model(ways, presence, 0x1A0 + u64::from(ways));
+            }
+        }
     }
 }

@@ -15,8 +15,9 @@
 //! [`MemorySystem::access`] is the only way a reference enters the
 //! system — live runs, trace replay and the sampled fast-forward all
 //! call it once per reference — and it is the simulator's throughput
-//! ceiling, so it is built around two structural optimizations that
-//! change no statistic:
+//! ceiling. Its cost is host memory latency more than instructions, so
+//! it is built around three structural optimizations that change no
+//! statistic:
 //!
 //! - **Single-lookup accesses.** Each address is decomposed into its
 //!   `(set, tag)` key once per cache level ([`Cache::locate`]) and the key
@@ -33,6 +34,16 @@
 //!   implementation the differential oracle checks against. Per-line L1
 //!   presence masks play the same role one level up: inclusion
 //!   invalidations skip processors that never held the line.
+//! - **A short L1-hit path and small host footprint.** A load or ifetch
+//!   that hits its L1 touches only the L1 set: the processor's L2 group
+//!   is a table lookup, and the two long fetches of an L2-bound reference
+//!   (the L2 set's way words and the line's directory slot) are issued
+//!   only once the L1 has missed, or at entry for stores, which always
+//!   reach the L2. The directory packs each entry into one word and
+//!   retires a fill's victim before the snoop registers the incoming
+//!   line, which bounds each set's block at `groups × ways` entries and
+//!   keeps the whole table a size the host's caches can hold (2 MB on
+//!   the E6000).
 
 use probes::Histogram;
 
@@ -85,8 +96,12 @@ pub struct MemorySystem {
     l1i: Vec<Cache>,
     l1d: Vec<Cache>,
     l2: Vec<Cache>,
-    /// Exact sharer directory; `None` on broadcast systems and trivial
-    /// topologies (a single L2 group has nobody to snoop).
+    /// Each processor's L2 group (`cpu / cpus_per_l2`), precomputed so
+    /// the access path does no division.
+    group_of: Box<[usize]>,
+    /// Exact sharer directory; `None` on broadcast systems, trivial
+    /// topologies (a single L2 group has nobody to snoop) and systems
+    /// with more groups than [`Directory::MAX_GROUPS`].
     dir: Option<Directory>,
     /// Precomputed L2 geometry for directory keys (`tag << index_bits | set`
     /// is the raw line index every group agrees on).
@@ -144,6 +159,7 @@ impl MemorySystem {
                     }
                 })
                 .collect(),
+            group_of: (0..cfg.cpus).map(|cpu| cfg.l2_group(cpu)).collect(),
             dir,
             l2_index_bits: cfg.l2.sets().trailing_zeros(),
             l2_block_bits: cfg.l2.block_bits(),
@@ -308,16 +324,7 @@ impl MemorySystem {
         store: bool,
         ifetch: bool,
     ) -> AccessOutcome {
-        let group = self.cfg.l2_group(cpu);
-        // Start the two long fetches of this access — the group's L2 set
-        // words and (on filtered systems) the line's directory slot —
-        // before the L1 probe, so they overlap it instead of following it.
-        let (set, tag) = self.l2[group].locate(addr);
-        self.l2[group].prefetch_set(set);
-        if let Some(dir) = &self.dir {
-            dir.prefetch(addr.0 >> self.l2_block_bits);
-        }
-
+        let group = self.group_of[cpu];
         if !store {
             let l1 = if ifetch {
                 &mut self.l1i[cpu]
@@ -328,6 +335,8 @@ impl MemorySystem {
             if l1.touch_at(l1_set, l1_tag).is_some() {
                 return AccessOutcome::hit(HitLevel::L1);
             }
+            let (set, tag) = self.l2[group].locate(addr);
+            self.prefetch_l2_side(group, set, addr);
             let outcome = self.read_l2(group, addr, set, tag);
             // The line is now MRU in the group's L2 (hit-promoted or just
             // filled). Fill the L1 — the touch above proved it absent, so
@@ -343,9 +352,12 @@ impl MemorySystem {
             return outcome;
         }
 
-        // Stores: write-through L1 (update only if present, no allocate),
-        // then act on the L2 line's coherence state. A touch hit leaves
-        // the line MRU, so the E→M and S/O→M rewrites are O(1).
+        // Stores: every one reaches the L2, so its fetches start before
+        // the write-through L1 update (update only if present, no
+        // allocate). Then act on the L2 line's coherence state. A touch
+        // hit leaves the line MRU, so the E→M and S/O→M rewrites are O(1).
+        let (set, tag) = self.l2[group].locate(addr);
+        self.prefetch_l2_side(group, set, addr);
         let l1_hit = self.l1d[cpu].touch(addr).is_some();
         match self.l2[group].touch_at(set, tag) {
             Some(LineState::Modified) => {
@@ -381,12 +393,26 @@ impl MemorySystem {
         }
     }
 
+    /// Starts the two long fetches of an access that reaches the L2 —
+    /// the group's L2 set words and (on filtered systems) the line's
+    /// directory slot — so they overlap the L2 probe instead of
+    /// following it. Loads and ifetches issue this only once their L1
+    /// has missed: on an L1 hit (most references) both fetches would be
+    /// wasted host memory traffic. Hints only; no architectural effect.
+    #[inline]
+    fn prefetch_l2_side(&self, group: usize, set: usize, addr: Addr) {
+        self.l2[group].prefetch_set(set);
+        if let Some(dir) = &self.dir {
+            dir.prefetch(addr.0 >> self.l2_block_bits);
+        }
+    }
+
     fn read_l2(&mut self, group: usize, addr: Addr, set: usize, tag: u64) -> AccessOutcome {
         if self.l2[group].touch_at(set, tag).is_some() {
             return AccessOutcome::hit(HitLevel::L2);
         }
         // L2 read miss: GetS on the bus.
-        self.prefetch_victim_dir(group, set);
+        self.retire_victim_dir(group, set);
         let (supplied, any_remote) = self.snoop_read(group, set, tag);
         self.bus.record(BusOp::GetS, supplied);
         let fill_state = if any_remote {
@@ -416,7 +442,7 @@ impl MemorySystem {
         // remote owner supplies the data (snoop copyback). No-write-allocate
         // L1: the store completes in the L2 (a stale L1 copy was already
         // updated via the write-through touch).
-        self.prefetch_victim_dir(group, set);
+        self.retire_victim_dir(group, set);
         let supplied = self.snoop_write(group, addr, set, tag);
         self.bus.record(BusOp::GetX, supplied);
         let writeback = self.fill_l2(group, set, tag, LineState::Modified);
@@ -436,16 +462,18 @@ impl MemorySystem {
         }
     }
 
-    /// Starts fetching the directory slot of the line the coming
-    /// [`Self::fill_l2`] will evict from `(group, set)`, so the victim's
-    /// `remove_sharer` — a second random table line, unrelated to the one
-    /// the access-entry prefetch warmed — overlaps with the snoop instead
-    /// of stalling the fill. A hint only; no architectural effect.
+    /// Removes the line the coming [`Self::fill_l2`] will evict from
+    /// `(group, set)` from the directory, *before* the snoop registers
+    /// the incoming line. The snoop only reads and rewrites remote
+    /// groups' copies of the requested line, never this set of the
+    /// requester's L2, so retiring the victim early changes no outcome;
+    /// it is what bounds a directory block at `groups × ways` live
+    /// entries (see [`Directory`]).
     #[inline]
-    fn prefetch_victim_dir(&self, group: usize, set: usize) {
-        if let Some(dir) = &self.dir {
+    fn retire_victim_dir(&mut self, group: usize, set: usize) {
+        if let Some(dir) = &mut self.dir {
             if let Some(victim) = self.l2[group].victim_line_index(set) {
-                dir.prefetch(victim);
+                dir.remove_sharer(victim, group);
             }
         }
     }
@@ -627,16 +655,13 @@ impl MemorySystem {
     /// to memory; all victims are invalidated in the group's L1s to keep
     /// inclusion. Returns whether a writeback occurred.
     ///
-    /// The fill side of the directory update already happened inside the
-    /// preceding snoop's fused access; the victim's removal is the one
-    /// residency change only this function sees.
+    /// Both directory updates already happened: the victim left in
+    /// [`Self::retire_victim_dir`] and the fill registered inside the
+    /// snoop's fused access.
     fn fill_l2(&mut self, group: usize, set: usize, tag: u64, state: LineState) -> bool {
         let evicted = self.l2[group].insert_at(set, tag, state);
         match evicted {
             Some(victim) => {
-                if let Some(dir) = &mut self.dir {
-                    dir.remove_sharer(victim.line.base().0 >> self.l2_block_bits, group);
-                }
                 self.invalidate_l1s_of_group(group, victim.line.base(), victim.presence);
                 if victim.state.is_dirty() {
                     self.bus.record_writeback();

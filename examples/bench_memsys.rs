@@ -1,27 +1,45 @@
-//! Offline raw-throughput benchmark for `MemorySystem::access`: streams a
-//! seeded reference mix through 1/4/16-CPU systems (plus the shared-L2
-//! Figure 16 shape) and writes refs/sec to `BENCH_memsys.json`.
+//! Offline raw-throughput benchmark for `MemorySystem::access`, written
+//! to `BENCH_memsys.json` as refs/sec per row. Two kinds of row:
 //!
-//! The mix is miss-heavy at line granularity (per-CPU working sets 4x
-//! the L2, plus a small hot shared region) but bursty *within* lines:
-//! instruction fetch walks each code line in four sequential fetches,
-//! a load touches two or three fields of its object, and a store pair
-//! dirties adjacent words. Burst followers hit the L1; burst leaders
-//! walk the full hierarchy. This is a synthetic microbenchmark, not a
-//! captured workload stream (the `simbench` package measures those).
-//! The stream is a pure function of the seed, so pre/post-change
-//! numbers are directly comparable.
+//! - **Captured streams** (`"kind": "captured"`): quick-effort SPECjbb
+//!   and ECperf runs on 8 processors, captured in-process with a
+//!   `TraceObserver` (deterministic, no download) and replayed with
+//!   `SystemTrace::replay_into` into the private-L2 E6000 hierarchy
+//!   they ran on (16 processors, 8 of them running the workload) and
+//!   into the same machine with 4 processors per L2.
+//!   These are the workload's own reference streams, the input the
+//!   figures' runtime actually depends on. The private-L2 replay must
+//!   reproduce the live run's statistics exactly.
+//! - **A synthetic microbenchmark** (`"kind": "microbenchmark"`): a
+//!   seeded reference mix through 1/4/16-CPU systems (plus the shared-L2
+//!   Figure 16 shape). It isolates `access` from capture noise, but a
+//!   mechanism that only speeds up this stream has not sped up the
+//!   simulator.
+//!
+//! The synthetic mix is miss-heavy at line granularity (per-CPU working
+//! sets 4x the L2, plus a small hot shared region) but bursty *within*
+//! lines: instruction fetch walks each code line in four sequential
+//! fetches, a load touches two or three fields of its object, and a
+//! store pair dirties adjacent words. Burst followers hit the L1; burst
+//! leaders walk the full hierarchy. The stream is a pure function of the
+//! seed, so pre/post-change numbers are directly comparable.
 //!
 //! References are generated in 4096-record chunks and each chunk is
 //! timed as a plain loop of [`MemorySystem::access`] calls, so the
 //! generator's RNG cost stays outside the measurement.
 //!
+//! The effort argument sizes the synthetic stream only; the captured
+//! streams are always the quick-effort windows, so their rows stay
+//! comparable across efforts.
+//!
 //! Run with: `cargo run --release --example bench_memsys [quick|standard|full]`
 
 use std::time::Instant;
 
-use memsys::{AccessKind, Addr, HierarchyConfig, MemorySystem};
+use memsys::{AccessKind, Addr, HierarchyConfig, MemorySystem, SystemStats, SystemTrace};
+use middlesim::{ecperf_machine, jbb_machine, Effort, Machine, TraceObserver};
 use prng::SimRng;
+use workloads::model::Workload;
 
 /// Per-CPU private heap: 4 MB (4x the 1 MB L2 -> miss-heavy).
 const PRIVATE_LINES: u64 = (4 << 20) / 64;
@@ -117,8 +135,11 @@ impl Stream {
 
 struct ShapeResult {
     name: String,
+    /// `"captured"` or `"microbenchmark"`.
+    kind: &'static str,
     cpus: usize,
     cpus_per_l2: usize,
+    refs: u64,
     refs_per_sec: f64,
     snoop_filter_rate: f64,
 }
@@ -191,8 +212,90 @@ fn bench_shape(cpus: usize, cpus_per_l2: usize, refs: u64, seed: u64) -> ShapeRe
     );
     ShapeResult {
         name,
+        kind: "microbenchmark",
         cpus,
         cpus_per_l2,
+        refs,
+        refs_per_sec,
+        snoop_filter_rate,
+    }
+}
+
+/// Processors and seed of the captured runs, and the shared-L2 shape's
+/// group size.
+const CAPTURE_PSET: usize = 8;
+const CAPTURE_SEED: u64 = 1;
+const SHARED_PER_L2: usize = 4;
+
+/// A live run's captured stream and the statistics it produced.
+struct Capture {
+    name: &'static str,
+    trace: SystemTrace,
+    hierarchy: HierarchyConfig,
+    live: SystemStats,
+}
+
+/// Runs a quick-effort warm-up and window with a `TraceObserver`
+/// attached and returns what it captured.
+fn capture<W: Workload>(name: &'static str, mut m: Machine<W>) -> Capture {
+    let effort = Effort::Quick;
+    let handle = m.attach_observer(TraceObserver::new());
+    m.run_until(effort.warmup());
+    m.begin_measurement();
+    let start = m.time();
+    m.run_until(start + effort.window());
+    Capture {
+        name,
+        trace: std::mem::take(m.observer_mut(handle)).into_trace(),
+        hierarchy: *m.memory().config(),
+        live: m.memory().stats().clone(),
+    }
+}
+
+/// Replays a capture into its machine with `cpus_per_l2` processors per
+/// L2, [`PASSES`] times, each into a fresh system, and reports the
+/// fastest replay.
+fn bench_capture(cap: &Capture, cpus_per_l2: usize) -> ShapeResult {
+    let mut b = HierarchyConfig::builder(cap.hierarchy.cpus);
+    b.cpus_per_l2(cpus_per_l2);
+    let cfg = b.build().expect("captured shape");
+    let mut best = f64::INFINITY;
+    let mut sys = MemorySystem::new(cfg);
+    for pass in 0..PASSES {
+        if pass > 0 {
+            sys = MemorySystem::new(cfg);
+        }
+        let t0 = Instant::now();
+        cap.trace.replay_into(&mut sys);
+        best = best.min(t0.elapsed().as_secs_f64());
+    }
+    if cfg == cap.hierarchy {
+        assert_eq!(
+            sys.stats(),
+            &cap.live,
+            "{}: replay diverged from the live run",
+            cap.name
+        );
+    }
+    let refs = cap.trace.refs();
+    let refs_per_sec = refs as f64 / best.max(1e-9);
+    let snoop_filter_rate = sys.bus_stats().snoop_filter_rate();
+    let name = if cpus_per_l2 == 1 {
+        format!("{}_private", cap.name)
+    } else {
+        format!("{}_shared{cpus_per_l2}", cap.name)
+    };
+    println!(
+        "{name:>16}: {refs_per_sec:>12.0} refs/s  ({refs} refs, {} L2 misses, {:.1}% snoops filtered)",
+        sys.stats().total_l2_misses(),
+        snoop_filter_rate * 100.0,
+    );
+    ShapeResult {
+        name,
+        kind: "captured",
+        cpus: cfg.cpus,
+        cpus_per_l2,
+        refs,
         refs_per_sec,
         snoop_filter_rate,
     }
@@ -205,12 +308,34 @@ fn main() {
         "full" => 40_000_000,
         _ => 10_000_000,
     };
-    println!("streaming {refs} seeded references per shape...");
+    println!("capturing quick-effort SPECjbb and ECperf streams on {CAPTURE_PSET} processors...");
+    let captures: [fn() -> Capture; 2] = [
+        || {
+            let m = jbb_machine(CAPTURE_PSET, 2 * CAPTURE_PSET, CAPTURE_SEED, Effort::Quick);
+            capture("jbb8", m)
+        },
+        || {
+            capture(
+                "ecperf8",
+                ecperf_machine(CAPTURE_PSET, CAPTURE_SEED, Effort::Quick),
+            )
+        },
+    ];
+    let mut results = Vec::new();
+    // One capture alive at a time keeps peak memory at one trace.
+    for make in captures {
+        let cap = make();
+        for per in [1, SHARED_PER_L2] {
+            results.push(bench_capture(&cap, per));
+        }
+    }
+    println!("streaming {refs} seeded references per synthetic shape (microbenchmark)...");
     let shapes = [(1usize, 1usize), (4, 1), (16, 1), (16, 4)];
-    let results: Vec<ShapeResult> = shapes
-        .iter()
-        .map(|&(cpus, per)| bench_shape(cpus, per, refs, 0xB5EED))
-        .collect();
+    results.extend(
+        shapes
+            .iter()
+            .map(|&(cpus, per)| bench_shape(cpus, per, refs, 0xB5EED)),
+    );
 
     let mut json = String::from("{\n  \"bench\": \"memsys_access\",\n");
     json.push_str(&format!(
@@ -220,16 +345,18 @@ fn main() {
             .with_effort(effort)
             .to_json()
     ));
-    json.push_str(&format!("  \"refs_per_shape\": {refs},\n  \"shapes\": [\n"));
+    json.push_str("  \"shapes\": [\n");
     for (i, r) in results.iter().enumerate() {
         json.push_str(&format!(
             concat!(
-                "    {{\"name\": \"{}\", \"cpus\": {}, \"cpus_per_l2\": {}, ",
-                "\"refs_per_sec\": {:.0}, \"snoop_filter_rate\": {:.4}}}{}\n"
+                "    {{\"name\": \"{}\", \"kind\": \"{}\", \"cpus\": {}, \"cpus_per_l2\": {}, ",
+                "\"refs\": {}, \"refs_per_sec\": {:.0}, \"snoop_filter_rate\": {:.4}}}{}\n"
             ),
             r.name,
+            r.kind,
             r.cpus,
             r.cpus_per_l2,
+            r.refs,
             r.refs_per_sec,
             r.snoop_filter_rate,
             if i + 1 < results.len() { "," } else { "" }

@@ -20,8 +20,8 @@
 //! hand-written `access`/`reset_stats` loop it stands for.
 
 use java_middleware_memsim::memsys::{
-    AccessKind, AccessSource, Addr, CacheConfig, Directory, DramConfig, HierarchyConfig,
-    LatencyCosts, LineState, MemoryConfig, MemorySystem, SystemTrace,
+    AccessKind, AccessSource, Addr, BusStats, CacheConfig, Directory, DramConfig, HierarchyConfig,
+    HitLevel, LatencyCosts, LineState, MemoryConfig, MemorySystem, SystemTrace,
 };
 use prng::SimRng;
 
@@ -220,40 +220,41 @@ fn filtered_matches_broadcast_16_cpus_shared_l2() {
 
 #[test]
 fn filtered_matches_broadcast_32_l2_groups() {
-    // Past the old 16-group sharer field: the two-word directory entry
-    // keeps the filter exact (and enabled — drive_shape asserts it) at
-    // 32 private-L2 groups instead of falling back to broadcast.
+    // Past the 16-bit sharer field: 32 private-L2 groups run on the
+    // broadcast path (drive_shape asserts the filter is off here), which
+    // must still match the reference system exactly.
+    assert!(32 > Directory::MAX_GROUPS);
     drive_shape(32, 1, 40_000, 0xD32F);
 }
 
 #[test]
 fn filtered_matches_broadcast_at_exactly_max_groups() {
-    // The boundary the PR 5 widening moved: 64 private-L2 groups is the
-    // last shape the one-word sharer bitset tracks, so the filter must
-    // still be enabled (drive_shape asserts it) and exact there.
-    assert_eq!(Directory::MAX_GROUPS, 64);
-    drive_shape(64, 1, 30_000, 0xD64F);
+    // 16 private-L2 groups is the last shape the one-word entry's
+    // sharer field tracks, so the filter must still be enabled
+    // (drive_shape asserts it) and exact there.
+    assert_eq!(Directory::MAX_GROUPS, 16);
+    drive_shape(16, 1, 30_000, 0xD16B);
 }
 
 #[test]
 fn one_past_max_groups_falls_back_to_broadcast() {
-    // 65 groups exceeds the bitset: the directory must disengage and the
+    // 17 groups exceeds the bitset: the directory must disengage and the
     // "filtered" system become a plain broadcast one — still exact, and
     // filtering nothing.
-    let cfg = tiny(65, 1);
+    let cfg = tiny(17, 1);
     assert!(cfg.l2_count() > Directory::MAX_GROUPS);
     let filtered = MemorySystem::new(cfg);
     assert!(
         !filtered.snoop_filter_enabled(),
         "past MAX_GROUPS the directory must fall back to broadcast"
     );
-    drive_shape(65, 1, 15_000, 0xD65F);
+    drive_shape(17, 1, 15_000, 0xD17F);
     // drive_shape's snoops_filtered > 0 expectation is gated on the
     // filter being on, so also pin the fallback's observable here.
-    let mut sys = MemorySystem::new(tiny(65, 1));
-    let mut rng = SimRng::seed_from_u64(0xB65);
+    let mut sys = MemorySystem::new(tiny(17, 1));
+    let mut rng = SimRng::seed_from_u64(0xB17);
     for _ in 0..5_000 {
-        let (cpu, kind, addr) = next_ref(&mut rng, 65);
+        let (cpu, kind, addr) = next_ref(&mut rng, 17);
         sys.access(cpu, kind, addr);
     }
     assert_eq!(sys.bus_stats().snoops_filtered, 0);
@@ -275,6 +276,112 @@ fn filtered_matches_broadcast_4_cpus_banked_dram() {
     cfg.memory = MemoryConfig::BankedDram(DramConfig::default());
     assert!(MemorySystem::new(cfg).needs_clock());
     drive(cfg, 30_000, 0xD3A);
+}
+
+/// Drives one L2 set of every group at its residency bound: each group
+/// first fills the set with `ways` lines no other group holds, so the
+/// set's directory block carries `groups × ways` live entries, then a
+/// seeded stream keeps missing into that set — read misses and write
+/// misses on private lines (each evicting a victim from a full set)
+/// and reads, writes and upgrades on a few lines every group shares.
+/// The directory must never overflow its block, must stay exact after
+/// every transaction, and the run must match broadcast snooping.
+fn drive_full_set(groups: usize, cpus_per_l2: usize, steps: u64, seed: u64) {
+    let cfg = tiny(groups * cpus_per_l2, cpus_per_l2);
+    let ways = cfg.l2.ways as u64;
+    let sets = cfg.l2.sets();
+    assert!(cfg.l2_count() <= Directory::MAX_GROUPS);
+    const SET: u64 = 5;
+    // The `tag`-th line of the target set.
+    let line = |tag: u64| Addr((tag * sets + SET) * 64);
+    // Private tags: group g owns 2·ways of them. Shared tags follow.
+    let private = |g: u64, k: u64| line(g * 2 * ways + k);
+    let shared = |k: u64| line(groups as u64 * 2 * ways + k);
+
+    // Valid copies of the target set's lines across all groups: the
+    // set's live directory entries once the audit has passed.
+    let held = |sys: &MemorySystem| -> usize {
+        (0..groups as u64)
+            .flat_map(|g| (0..2 * ways).map(move |k| private(g, k)))
+            .chain((0..2).map(shared))
+            .map(|addr| sys.l2_states(addr).iter().filter(|s| s.is_valid()).count())
+            .sum()
+    };
+    let bound = groups * ways as usize;
+
+    let mut filtered = MemorySystem::new(cfg);
+    let mut broadcast = MemorySystem::new_broadcast(cfg);
+    assert!(filtered.snoop_filter_enabled());
+    let mut refs = Vec::new();
+    for g in 0..groups {
+        for k in 0..ways {
+            refs.push((g * cpus_per_l2, AccessKind::Load, private(g as u64, k)));
+        }
+    }
+    let mut rng = SimRng::seed_from_u64(seed);
+    for _ in 0..steps {
+        let r = rng.next_u64();
+        let cpu = (r % cfg.cpus as u64) as usize;
+        let g = (cpu / cpus_per_l2) as u64;
+        let kind = if (r >> 8) % 2 == 0 {
+            AccessKind::Load
+        } else {
+            AccessKind::Store
+        };
+        let addr = if (r >> 16) % 8 == 0 {
+            shared((r >> 24) % 2)
+        } else {
+            private(g, (r >> 24) % (2 * ways))
+        };
+        refs.push((cpu, kind, addr));
+    }
+    let mut misses_at_bound = 0;
+    for (i, &(cpu, kind, addr)) in refs.iter().enumerate() {
+        let a = filtered.access(cpu, kind, addr);
+        let b = broadcast.access(cpu, kind, addr);
+        assert_eq!(a, b, "outcome diverged at {i} ({cpu} {kind} {addr:?})");
+        if !matches!(a.level, HitLevel::L1 | HitLevel::L2) {
+            filtered.audit_directory();
+            let live = held(&filtered);
+            assert!(live <= bound);
+            if live == bound {
+                misses_at_bound += 1;
+            }
+        }
+        if i + 1 == groups * ways as usize {
+            assert_eq!(held(&filtered), bound, "fill phase left the set short");
+        }
+    }
+    // Shared-line invalidations leave holes, but private misses refill
+    // them: the block must have sat at its bound for many transactions.
+    assert!(
+        misses_at_bound > steps / 20,
+        "only {misses_at_bound} misses ran at the residency bound"
+    );
+    filtered.audit_directory();
+    assert_eq!(filtered.stats(), broadcast.stats(), "SystemStats diverged");
+    let protocol = |b: &BusStats| [b.gets, b.getx, b.upgrades, b.snoop_copybacks, b.writebacks];
+    let fb = filtered.bus_stats();
+    assert_eq!(
+        protocol(fb),
+        protocol(broadcast.bus_stats()),
+        "bus transactions diverged"
+    );
+    assert!(fb.upgrades > 0 && fb.snoop_copybacks > 0, "stream too tame");
+}
+
+/// 16 groups × 4 ways = 64 live entries: the block (sized to the next
+/// power of two) runs completely full.
+#[test]
+fn directory_block_holds_a_full_set_at_16_groups() {
+    drive_full_set(16, 1, 20_000, 0xF16);
+}
+
+/// 12 groups × 4 ways = 48 live entries in a 64-slot block, with two
+/// processors per L2 so presence-guided L1 invalidations run too.
+#[test]
+fn directory_block_holds_a_full_set_at_12_groups() {
+    drive_full_set(12, 2, 20_000, 0xF12);
 }
 
 /// Captures a seeded stream of `steps` references on `cfg` as a
